@@ -59,8 +59,7 @@ impl QoeEstimator {
     ///
     /// This is the scoring half of [`QoeEstimator::predict_index`] — same
     /// forest, same tie-breaking — for callers that maintain feature
-    /// vectors themselves (the streaming engine's accumulators, cached
-    /// corpora).
+    /// vectors themselves (cached corpora, replayed verdicts).
     pub fn predict_index_features(&self, features: &[f64]) -> usize {
         self.forest.predict(features)
     }

@@ -42,6 +42,35 @@ impl Default for SessionIdParams {
     }
 }
 
+impl SessionIdParams {
+    /// The W/N/δ burst test for the transaction starting at `t_i`. `from_i`
+    /// yields it and the transactions after it, in start order; `seen`
+    /// holds the current session's servers. The burst is every transaction
+    /// starting within `W` of `t_i`: it opens a new session when its size
+    /// `N` exceeds `N_min` and its unseen-server fraction `δ` exceeds
+    /// `δ_min`.
+    fn starts_session<'a>(
+        &self,
+        t_i: f64,
+        seen: &HashSet<Arc<str>>,
+        from_i: impl IntoIterator<Item = &'a TlsTransactionRecord>,
+    ) -> bool {
+        let mut n = 0usize;
+        let mut unseen = 0usize;
+        for t in from_i {
+            if t.start_s > t_i + self.window_s {
+                break;
+            }
+            n += 1;
+            if !seen.contains(&t.sni) {
+                unseen += 1;
+            }
+        }
+        let delta = if n > 0 { unseen as f64 / n as f64 } else { 0.0 };
+        n > self.n_min && delta > self.delta_min
+    }
+}
+
 /// Why a [`SessionIdParams`] was rejected by [`SessionSplitter::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionIdError {
@@ -134,26 +163,12 @@ impl SessionSplitter {
     fn detect_sorted(&self, transactions: &[TlsTransactionRecord]) -> Vec<bool> {
         let mut out = vec![false; transactions.len()];
         let mut seen: HashSet<Arc<str>> = HashSet::new();
-        for i in 0..transactions.len() {
-            let t_i = transactions[i].start_s;
-            // The burst: transactions starting within W of this one.
-            let mut n = 0usize;
-            let mut unseen = 0usize;
-            for t in &transactions[i..] {
-                if t.start_s > t_i + self.params.window_s {
-                    break;
-                }
-                n += 1;
-                if !seen.contains(&t.sni) {
-                    unseen += 1;
-                }
-            }
-            let delta = if n > 0 { unseen as f64 / n as f64 } else { 0.0 };
-            if n > self.params.n_min && delta > self.params.delta_min {
+        for (i, t) in transactions.iter().enumerate() {
+            if self.params.starts_session(t.start_s, &seen, &transactions[i..]) {
                 out[i] = true;
                 seen.clear();
             }
-            seen.insert(Arc::clone(&transactions[i].sni));
+            seen.insert(Arc::clone(&t.sni));
         }
         out
     }
@@ -181,10 +196,12 @@ impl SessionSplitter {
 /// [`finish`](IncrementalSessionDetector::finish)ed.
 ///
 /// The decisions are **identical** to
-/// [`SessionSplitter::detect`] over the same sorted stream: both evaluate
-/// the same burst (`N`) and new-server fraction (`δ`) against the same
-/// running seen-server set, the incremental form just does it with a
-/// bounded buffer instead of a full slice. `tests` pin this equivalence and
+/// [`SessionSplitter::detect`] over the same sorted stream: both run the
+/// same burst test against the same running seen-server set, the
+/// incremental form over a bounded buffer instead of a full slice. It is a
+/// separate loop (`detect` does not replay it) because its sorted insert
+/// puts NaN starts first, while `detect` sorts them last with `total_cmp`.
+/// `tests` pin this equivalence and
 /// `tests/stream_vs_batch.rs` re-proves it end-to-end through the
 /// streaming engine.
 ///
@@ -259,23 +276,11 @@ impl IncrementalSessionDetector {
         out
     }
 
-    /// Decide the front pending transaction — the batch inner loop, scoped
+    /// Decide the front pending transaction — the batch burst test, scoped
     /// to the buffered window.
     fn decide_front(&mut self) -> (TlsTransactionRecord, bool) {
         let t_i = self.pending.front().expect("pending non-empty").start_s;
-        let mut n = 0usize;
-        let mut unseen = 0usize;
-        for t in &self.pending {
-            if t.start_s > t_i + self.params.window_s {
-                break;
-            }
-            n += 1;
-            if !self.seen.contains(&t.sni) {
-                unseen += 1;
-            }
-        }
-        let delta = if n > 0 { unseen as f64 / n as f64 } else { 0.0 };
-        let is_new = n > self.params.n_min && delta > self.params.delta_min;
+        let is_new = self.params.starts_session(t_i, &self.seen, &self.pending);
         if is_new {
             self.seen.clear();
         }

@@ -1,557 +1,74 @@
-//! Streaming feature accumulators — the incremental form of [`crate::tls`].
+//! The open session's record buffer, for push-based (online) callers.
 //!
-//! The batch extractor ([`crate::extract_tls_features_checked`]) consumes a
-//! complete session slice; a proxy scoring sessions *online* sees one
-//! transaction at a time and cannot afford to re-extract 38 features per
-//! arrival. This module provides push-based accumulators that maintain the
-//! same statistics in O(1)–O(log n) per record:
-//!
-//! * [`Welford`] — numerically stable streaming mean/variance (Welford's
-//!   online algorithm),
-//! * [`StreamingMedian`] — an *exact* running median over two heaps
-//!   (O(log n) push, O(n) space — the session's records are bounded and
-//!   buffered by the tracker anyway),
-//! * [`P2Quantile`] — the constant-space P² quantile *sketch* (Jain &
-//!   Chlamtac), for live gauges where O(n) state per open session is too
-//!   much and a small approximation error is acceptable,
-//! * [`TlsSessionAccumulator`] — the full Table 1 feature vector,
-//!   maintained incrementally.
-//!
-//! ## Exactness guarantees
-//!
-//! [`TlsSessionAccumulator::features`] is **bitwise identical** to
-//! [`crate::extract_tls_features_checked`] over the same records, provided
-//! records are pushed in nondecreasing `start_s` order (the order the
-//! batch path consumes after its stable sort): every sum is accumulated in
-//! the same sequence, min/max fold over the same values, the median is
-//! exact, and the temporal overlap attribution uses the same `t0`. The
-//! equivalence is pinned by unit tests here, property tests in
-//! `tests/accumulators.rs`, and end-to-end by `tests/stream_vs_batch.rs`
-//! at the workspace root. [`Welford`] means/variances and [`P2Quantile`]
-//! estimates are *not* part of the 38-feature vector (the paper drops
-//! mean/std as redundant, §3 footnote 5); they serve live monitoring and
-//! agree with `stats.rs` within floating-point reassociation (Welford) or
-//! sketch error (P²).
+//! Every Table 1 statistic is a min, median or max (the paper drops mean
+//! and std-dev as redundant, §3 footnote 5), and an exact median needs
+//! every value in the session, so an online form cannot hold less than the
+//! session's records. [`TlsSessionAccumulator`] therefore keeps exactly
+//! that: the records, in push order. [`TlsSessionAccumulator::features`]
+//! runs the batch extractor over them, so there is one implementation of
+//! the 38 features and the result is bitwise equal to
+//! [`crate::extract_tls_features_checked`] over the same slice, whatever
+//! the push order.
 
 use dtp_telemetry::TlsTransactionRecord;
 
 use crate::FeatureQuality;
 
-/// Welford's online mean/variance. Population variance, matching
-/// [`crate::stats::std_dev`].
+/// One session's TLS transactions, pushed one at a time; reads the full
+/// Table 1 feature vector through the batch extractor.
 #[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observe one value.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; 0.0 when empty (matching `stats::mean`).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0.0 when empty.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).max(0.0)
-        }
-    }
-
-    /// Population standard deviation; 0.0 when empty (matching
-    /// `stats::std_dev`).
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// `f64` with the `total_cmp` total order, so heaps agree with the batch
-/// path's `sort_by(f64::total_cmp)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Exact running median over a max-heap of the lower half and a min-heap of
-/// the upper half. Produces the same value as [`crate::stats::median`] on
-/// the same multiset — including the `(a + b) / 2.0` interpolation on even
-/// counts — because both order values by `total_cmp`.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingMedian {
-    low: std::collections::BinaryHeap<TotalF64>,
-    high: std::collections::BinaryHeap<std::cmp::Reverse<TotalF64>>,
-}
-
-impl StreamingMedian {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observe one value. O(log n).
-    pub fn push(&mut self, x: f64) {
-        let x = TotalF64(x);
-        match self.low.peek() {
-            Some(&top) if x > top => self.high.push(std::cmp::Reverse(x)),
-            _ => self.low.push(x),
-        }
-        // Rebalance: low holds ⌈n/2⌉ elements, high holds ⌊n/2⌋.
-        if self.low.len() > self.high.len() + 1 {
-            let moved = self.low.pop().expect("low non-empty");
-            self.high.push(std::cmp::Reverse(moved));
-        } else if self.high.len() > self.low.len() {
-            let std::cmp::Reverse(moved) = self.high.pop().expect("high non-empty");
-            self.low.push(moved);
-        }
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> usize {
-        self.low.len() + self.high.len()
-    }
-
-    /// The current median; 0.0 when empty (matching `stats::median`).
-    pub fn median(&self) -> f64 {
-        match (self.low.peek(), self.high.peek()) {
-            (None, _) => 0.0,
-            (Some(&TotalF64(lo)), _) if self.low.len() > self.high.len() => lo,
-            (Some(&TotalF64(lo)), Some(&std::cmp::Reverse(TotalF64(hi)))) => (lo + hi) / 2.0,
-            (Some(&TotalF64(lo)), None) => lo,
-        }
-    }
-}
-
-/// The P² streaming quantile estimator (Jain & Chlamtac, 1985): five
-/// markers, O(1) space and time per observation. Exact through the first
-/// five observations, approximate after. Use [`StreamingMedian`] where
-/// exactness matters; use this where per-session state must stay constant.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    n: usize,
-    heights: [f64; 5],
-    /// 1-based marker positions.
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `q` (clamped into `[0, 1]`).
-    pub fn new(q: f64) -> Self {
-        let q = if q.is_finite() { q.clamp(0.0, 1.0) } else { 0.5 };
-        Self {
-            q,
-            n: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-        }
-    }
-
-    /// The median estimator, `P2Quantile::new(0.5)`.
-    pub fn median() -> Self {
-        Self::new(0.5)
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> usize {
-        self.n
-    }
-
-    /// Observe one value. Non-finite observations are ignored.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.n < 5 {
-            self.heights[self.n] = x;
-            self.n += 1;
-            if self.n == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        // Which cell does x fall into?
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-        self.n += 1;
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                self.heights[i] = if self.heights[i - 1] < candidate
-                    && candidate < self.heights[i + 1]
-                {
-                    candidate
-                } else {
-                    self.linear(i, s)
-                };
-                self.positions[i] += s;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height update.
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + s / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + s) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - s) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic candidate leaves the bracket.
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + s * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current estimate; exact below five observations, the middle
-    /// marker after. 0.0 when empty.
-    pub fn estimate(&self) -> f64 {
-        match self.n {
-            0 => 0.0,
-            n if n < 5 => {
-                let mut v = self.heights[..n].to_vec();
-                v.sort_by(f64::total_cmp);
-                let rank = (self.q * (n - 1) as f64).round() as usize;
-                v[rank.min(n - 1)]
-            }
-            _ => self.heights[2],
-        }
-    }
-}
-
-/// One per-transaction metric series (DL size, duration, …): running
-/// min/max (exact), exact median, and Welford mean/variance for live
-/// monitoring.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesStats {
-    n: usize,
-    min: f64,
-    max: f64,
-    median: StreamingMedian,
-    moments: Welford,
-}
-
-impl SeriesStats {
-    /// Empty series.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            median: StreamingMedian::new(),
-            moments: Welford::new(),
-        }
-    }
-
-    /// Observe one value.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.min = f64::min(self.min, x);
-        self.max = f64::max(self.max, x);
-        self.median.push(x);
-        self.moments.push(x);
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> usize {
-        self.n
-    }
-
-    /// Running minimum; 0.0 when empty (matching `stats::min`).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Running maximum; 0.0 when empty (matching `stats::max`).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Exact running median; 0.0 when empty (matching `stats::median`).
-    pub fn median(&self) -> f64 {
-        self.median.median()
-    }
-
-    /// Streaming mean (Welford).
-    pub fn mean(&self) -> f64 {
-        self.moments.mean()
-    }
-
-    /// Streaming population standard deviation (Welford).
-    pub fn std_dev(&self) -> f64 {
-        self.moments.std_dev()
-    }
-}
-
-/// Incremental Table 1 feature extraction: push TLS transactions in
-/// nondecreasing `start_s` order, read the full feature vector at any time.
-///
-/// [`TlsSessionAccumulator::features`] is bitwise-equal to
-/// [`crate::extract_tls_features_checked`] over the same (sorted) records —
-/// see the module docs for why, and DESIGN.md §11 for the per-feature
-/// guarantee table.
-#[derive(Debug, Clone)]
 pub struct TlsSessionAccumulator {
-    intervals: Vec<f64>,
-    count: usize,
-    t0: f64,
-    t_end: f64,
-    total_dl: f64,
-    total_ul: f64,
-    dl: SeriesStats,
-    ul: SeriesStats,
-    dur: SeriesStats,
-    tdr: SeriesStats,
-    d2u: SeriesStats,
-    iat: SeriesStats,
-    last_start: f64,
-    cum_dl: Vec<f64>,
-    cum_ul: Vec<f64>,
-    suspect_records: usize,
+    records: Vec<TlsTransactionRecord>,
 }
 
 impl TlsSessionAccumulator {
-    /// Accumulator for the paper's interval set
-    /// ([`crate::TEMPORAL_INTERVALS_S`]), yielding the standard 38-vector.
+    /// Empty buffer.
     pub fn new() -> Self {
-        Self::with_intervals(&crate::TEMPORAL_INTERVALS_S)
+        Self::default()
     }
 
-    /// Accumulator with custom temporal intervals (§3 hyperparameter).
-    pub fn with_intervals(intervals_s: &[f64]) -> Self {
-        Self {
-            intervals: intervals_s.to_vec(),
-            count: 0,
-            t0: f64::INFINITY,
-            t_end: f64::NEG_INFINITY,
-            total_dl: 0.0,
-            total_ul: 0.0,
-            dl: SeriesStats::new(),
-            ul: SeriesStats::new(),
-            dur: SeriesStats::new(),
-            tdr: SeriesStats::new(),
-            d2u: SeriesStats::new(),
-            iat: SeriesStats::new(),
-            last_start: f64::NAN,
-            cum_dl: vec![0.0; intervals_s.len()],
-            cum_ul: vec![0.0; intervals_s.len()],
-            suspect_records: 0,
-        }
-    }
-
-    /// Transactions accumulated so far.
+    /// Transactions pushed so far.
     pub fn len(&self) -> usize {
-        self.count
+        self.records.len()
     }
 
     /// True before the first push.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.records.is_empty()
     }
 
-    /// Length of the feature vector [`TlsSessionAccumulator::features`]
-    /// returns.
-    pub fn feature_len(&self) -> usize {
-        22 + 2 * self.intervals.len()
-    }
-
-    /// Session start (first transaction's `start_s`); `None` when empty.
+    /// Earliest transaction start; `None` when empty.
     pub fn start_s(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.t0)
-        }
+        self.records.iter().map(|t| t.start_s).reduce(f64::min)
     }
 
-    /// Latest transaction end seen; `None` when empty.
+    /// Latest transaction end; `None` when empty.
     pub fn end_s(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.t_end)
-        }
+        self.records.iter().map(|t| t.end_s).reduce(f64::max)
     }
 
-    /// Accumulate one transaction. Records must arrive in nondecreasing
-    /// `start_s` order for the bitwise batch-equality guarantee; the
-    /// caller's reorder buffer (see `dtp-stream`) establishes that.
+    /// Buffer one transaction.
     pub fn push(&mut self, t: &TlsTransactionRecord) {
-        debug_assert!(
-            self.count == 0 || t.start_s >= self.last_start || t.start_s.is_nan(),
-            "records must be pushed in nondecreasing start order"
-        );
-        if !t.validity().is_clean() {
-            self.suspect_records += 1;
-        }
-        if self.count == 0 {
-            self.t0 = t.start_s;
-        } else {
-            self.t0 = f64::min(self.t0, t.start_s);
-            // IAT between consecutive starts, same subtraction as the
-            // batch path's sorted `windows(2)`.
-            self.iat.push(t.start_s - self.last_start);
-        }
-        self.last_start = t.start_s;
-        self.t_end = f64::max(self.t_end, t.end_s);
-        self.total_dl += t.down_bytes;
-        self.total_ul += t.up_bytes;
-        self.dl.push(t.down_bytes);
-        self.ul.push(t.up_bytes);
-        self.dur.push(t.duration_s());
-        self.tdr.push(t.tdr_kbps());
-        self.d2u.push(t.d2u_ratio());
-        for (k, &iv) in self.intervals.iter().enumerate() {
-            self.cum_dl[k] += Self::overlap_share(t, self.t0, iv, t.down_bytes);
-            self.cum_ul[k] += Self::overlap_share(t, self.t0, iv, t.up_bytes);
-        }
-        self.count += 1;
+        self.records.push(t.clone());
     }
 
-    /// One transaction's contribution to a `[t0, t0 + interval]` window —
-    /// the same arithmetic as the batch `cumulative_bytes`, applied per
-    /// record.
-    fn overlap_share(t: &TlsTransactionRecord, t0: f64, interval_s: f64, b: f64) -> f64 {
-        let window_end = t0 + interval_s;
-        if b <= 0.0 {
-            return 0.0;
-        }
-        let dur = t.duration_s();
-        if dur <= 0.0 {
-            // Instantaneous transaction: counts fully if inside.
-            return if t.start_s <= window_end { b } else { 0.0 };
-        }
-        let overlap = (t.end_s.min(window_end) - t.start_s.max(t0)).max(0.0);
-        b * overlap / dur
+    /// The buffered records, in push order.
+    pub fn into_records(self) -> Vec<TlsTransactionRecord> {
+        self.records
     }
 
-    /// The feature vector and quality report for everything accumulated so
-    /// far — callable mid-session for a live estimate, or at close for the
-    /// final vector. Bitwise-equal to
-    /// [`crate::extract_tls_features_checked`] over the same records (in
-    /// sorted order); an empty accumulator yields all zeros with
-    /// `empty_input` set, like the batch path.
+    /// The feature vector and quality report over everything pushed so far:
+    /// [`crate::extract_tls_features_checked`] over the records in push
+    /// order, without its span and counter.
     pub fn features(&self) -> (Vec<f64>, FeatureQuality) {
-        let mut out = Vec::with_capacity(self.feature_len());
-        if self.count == 0 {
-            out.resize(self.feature_len(), 0.0);
-            return (
-                out,
-                FeatureQuality { empty_input: true, imputed: 0, suspect_records: 0 },
-            );
-        }
-        let ses_dur = (self.t_end - self.t0).max(1e-9);
-        out.push(self.total_dl * 8.0 / 1000.0 / ses_dur); // SDR_DL (kbps)
-        out.push(self.total_ul * 8.0 / 1000.0 / ses_dur); // SDR_UL (kbps)
-        out.push(ses_dur); // SES_DUR (s)
-        out.push(self.count as f64 / ses_dur); // TRANS_PER_SEC
-        for series in [&self.dl, &self.ul, &self.dur, &self.tdr, &self.d2u, &self.iat] {
-            out.push(series.min());
-            out.push(series.median());
-            out.push(series.max());
-        }
-        out.extend_from_slice(&self.cum_dl);
-        out.extend_from_slice(&self.cum_ul);
-        let mut quality = FeatureQuality {
-            empty_input: false,
-            imputed: 0,
-            suspect_records: self.suspect_records,
-        };
-        for v in &mut out {
-            if !v.is_finite() {
-                *v = 0.0;
-                quality.imputed += 1;
-            }
-        }
-        (out, quality)
-    }
-}
-
-impl Default for TlsSessionAccumulator {
-    fn default() -> Self {
-        Self::new()
+        crate::tls::checked_features(&self.records, &crate::TEMPORAL_INTERVALS_S)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extract_tls_features_checked, extract_tls_features_checked_with_intervals, stats};
+    use crate::extract_tls_features_checked;
     use std::sync::Arc;
 
     fn tx(start: f64, end: f64, up: f64, down: f64) -> TlsTransactionRecord {
@@ -569,63 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_batch_moments() {
-        let xs = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.6];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - stats::mean(&xs)).abs() < 1e-12);
-        assert!((w.std_dev() - stats::std_dev(&xs)).abs() < 1e-12);
-        assert_eq!(w.count(), xs.len() as u64);
-        assert_eq!(Welford::new().mean(), 0.0);
-        assert_eq!(Welford::new().std_dev(), 0.0);
-    }
-
-    #[test]
-    fn streaming_median_is_exact() {
-        let mut m = StreamingMedian::new();
-        assert_eq!(m.median(), 0.0);
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0, 4.0, -1.0, 0.0];
-        let mut sofar = Vec::new();
-        for &x in &xs {
-            m.push(x);
-            sofar.push(x);
-            assert_eq!(
-                m.median().to_bits(),
-                stats::median(&sofar).to_bits(),
-                "after {sofar:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn p2_sketch_tracks_quantiles_approximately() {
-        let mut p = P2Quantile::median();
-        assert_eq!(p.estimate(), 0.0);
-        // Deterministic pseudo-uniform stream over (0, 1).
-        let mut x = 0.5f64;
-        let mut n = 0;
-        for _ in 0..5000 {
-            x = (x * 1103515245.0 + 12345.0) % 1.0;
-            p.push(x);
-            n += 1;
-        }
-        assert_eq!(p.count(), n);
-        let est = p.estimate();
-        assert!((est - 0.5).abs() < 0.1, "median estimate {est}");
-        let mut p95 = P2Quantile::new(0.95);
-        for i in 0..1000 {
-            p95.push(f64::from(i % 100));
-        }
-        let est = p95.estimate();
-        assert!((80.0..=100.0).contains(&est), "p95 estimate {est}");
-        // Non-finite observations are ignored, not absorbed.
-        p95.push(f64::NAN);
-        assert!(p95.estimate().is_finite());
-    }
-
-    #[test]
     fn accumulator_matches_batch_bitwise() {
         let sessions = [
             vec![tx(0.0, 10.0, 1000.0, 1_000_000.0)],
@@ -638,6 +98,14 @@ mod tests {
             // Zero-duration and zero-uplink degenerates.
             vec![tx(0.0, 5.0, 0.0, 100.0), tx(10.0, 10.0, 50.0, 500.0)],
             vec![],
+            // Pushed out of start order: IAT, the session start and the
+            // temporal windows come from the sorted starts, as in batch.
+            vec![
+                tx(200.0, 400.0, 2_000.0, 1_000_000.0),
+                tx(0.0, 45.0, 1_000.0, 500_000.0),
+                tx(10.0, 300.0, 9_000.0, 4_000_000.0),
+                tx(5.0, 5.0, 70.0, 900.0),
+            ],
         ];
         for txs in &sessions {
             let (batch, bq) = extract_tls_features_checked(txs);
@@ -648,22 +116,8 @@ mod tests {
             let (streamed, sq) = acc.features();
             assert_eq!(bits(&streamed), bits(&batch), "{txs:?}");
             assert_eq!(sq, bq);
-            assert_eq!(acc.feature_len(), 38);
+            assert_eq!(streamed.len(), 38);
         }
-    }
-
-    #[test]
-    fn accumulator_with_custom_intervals_matches_batch() {
-        let iv = [15.0, 60.0, 600.0];
-        let txs = vec![tx(0.0, 120.0, 1_200.0, 120_000.0), tx(30.0, 90.0, 600.0, 60_000.0)];
-        let (batch, _) = extract_tls_features_checked_with_intervals(&txs, &iv);
-        let mut acc = TlsSessionAccumulator::with_intervals(&iv);
-        for t in &txs {
-            acc.push(t);
-        }
-        let (streamed, _) = acc.features();
-        assert_eq!(bits(&streamed), bits(&batch));
-        assert_eq!(acc.feature_len(), 28);
     }
 
     #[test]
@@ -675,6 +129,8 @@ mod tests {
             tx(200.0, 400.0, 2_000.0, 1_000_000.0),
         ];
         let mut acc = TlsSessionAccumulator::new();
+        assert_eq!(acc.start_s(), None);
+        assert_eq!(acc.end_s(), None);
         for (i, t) in txs.iter().enumerate() {
             acc.push(t);
             let (live, _) = acc.features();
@@ -684,6 +140,7 @@ mod tests {
             assert_eq!(acc.start_s(), Some(0.0));
         }
         assert_eq!(acc.end_s(), Some(400.0));
+        assert_eq!(acc.into_records(), txs.to_vec());
     }
 
     #[test]

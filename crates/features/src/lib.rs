@@ -15,11 +15,10 @@
 //! assembled into [`dtp-ml`](../dtp_ml/index.html) datasets; the bench crate
 //! times these functions for the paper's 60× compute-overhead claim.
 //!
-//! For online use, [`accum`] provides push-based accumulators
-//! ([`TlsSessionAccumulator`], [`Welford`], [`StreamingMedian`],
-//! [`P2Quantile`]) that maintain the TLS feature vector incrementally —
-//! bitwise-equal to the batch extractor over sorted input (see the module
-//! docs for the exactness guarantees).
+//! For online use, [`accum`] provides [`TlsSessionAccumulator`], the open
+//! session's record buffer: records are pushed one at a time and
+//! [`TlsSessionAccumulator::features`] runs the batch extractor over them,
+//! so the 38 features have one implementation.
 
 pub mod accum;
 pub mod flow;
@@ -27,7 +26,7 @@ pub mod packet;
 pub mod stats;
 pub mod tls;
 
-pub use accum::{P2Quantile, SeriesStats, StreamingMedian, TlsSessionAccumulator, Welford};
+pub use accum::TlsSessionAccumulator;
 
 pub use flow::{extract_flow_features, flow_feature_names};
 pub use packet::{extract_packet_features, extract_packet_features_batch, packet_feature_names};

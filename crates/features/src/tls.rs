@@ -165,6 +165,16 @@ pub fn extract_tls_features_checked_with_intervals(
 ) -> (Vec<f64>, FeatureQuality) {
     let _span = dtp_obs::span!("extract.tls");
     dtp_obs::global().counter("extract.tls_records").add(transactions.len() as u64);
+    checked_features(transactions, intervals_s)
+}
+
+/// The un-instrumented core of [`extract_tls_features_checked_with_intervals`]:
+/// [`raw_features`] plus imputation of non-finite values and the quality
+/// report.
+pub(crate) fn checked_features(
+    transactions: &[TlsTransactionRecord],
+    intervals_s: &[f64],
+) -> (Vec<f64>, FeatureQuality) {
     let mut out = raw_features(transactions, intervals_s);
     let mut quality = FeatureQuality {
         empty_input: transactions.is_empty(),

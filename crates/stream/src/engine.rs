@@ -5,9 +5,9 @@
 //! push(client, record)
 //!   └─ sanitize (shared ingest policy)        dtp-telemetry
 //!      └─ shard by FNV-1a(client)             BTreeMap per shard
-//!         └─ ClientTracker                    reorder → detect → accumulate
-//!            └─ ClosedSession                 finalized feature vector
-//!               └─ micro-batch scoring        QoeEstimator on dtp-par
+//!         └─ ClientTracker                    reorder → detect → buffer
+//!            └─ ClosedSession                 the session's records
+//!               └─ micro-batch extract+score  dtp-features, QoeEstimator on dtp-par
 //!                  └─ SessionVerdict
 //! ```
 //!
@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtp_core::{QoeCategory, QoeEstimator, SessionIdParams, SessionSplitter};
+use dtp_features::{extract_tls_features_batch_checked, FeatureQuality};
 use dtp_telemetry::{sanitize_record, IngestStats, Stopwatch, TlsTransactionRecord};
 
 use crate::tracker::{ClientTracker, ClosedSession, CloseReason};
@@ -118,7 +119,7 @@ pub struct SessionVerdict {
     /// The 38-feature vector the model scored.
     pub features: Vec<f64>,
     /// Feature-extraction quality (imputations, suspect records).
-    pub quality: dtp_features::FeatureQuality,
+    pub quality: FeatureQuality,
     /// Predicted class index (0 = problem class).
     pub predicted: usize,
     /// Predicted class on the quality scale.
@@ -364,15 +365,20 @@ impl StreamEngine {
         let obs = dtp_obs::global();
         let _span = dtp_obs::span!("stream.emit");
         let sw = Stopwatch::start();
-        let batch = std::mem::take(&mut self.ready);
-        let rows: Vec<Vec<f64>> = batch.iter().map(|c| c.features.clone()).collect();
-        // Micro-batch scoring fans out over the dtp-par pool.
+        let mut batch = std::mem::take(&mut self.ready);
+        // The reference pipeline's own two calls, each fanned out over the
+        // dtp-par pool: batch extraction, then batch scoring.
+        let sessions: Vec<Vec<TlsTransactionRecord>> =
+            batch.iter_mut().map(|c| std::mem::take(&mut c.records)).collect();
+        let (rows, qualities): (Vec<Vec<f64>>, Vec<FeatureQuality>) =
+            extract_tls_features_batch_checked(&sessions).into_iter().unzip();
         let probas = self.estimator.predict_proba_features_batch(&rows);
         let emit_ms = sw.elapsed_s() * 1e3;
         obs.histogram("stream.emit_ms").observe(emit_ms);
         obs.counter("stream.sessions_emitted").add(batch.len() as u64);
         let mut out = Vec::with_capacity(batch.len());
-        for (closed, probabilities) in batch.into_iter().zip(probas) {
+        let scored = batch.into_iter().zip(&sessions).zip(rows.into_iter().zip(qualities));
+        for (((closed, records), (features, quality)), probabilities) in scored.zip(probas) {
             // First-max argmax: the forest's own predict() convention, so
             // streaming predictions match the batch pipeline bitwise.
             let mut predicted = 0;
@@ -392,9 +398,9 @@ impl StreamEngine {
                 ordinal: closed.ordinal,
                 start_s: closed.start_s,
                 end_s: closed.end_s,
-                transactions: closed.transactions,
-                features: closed.features,
-                quality: closed.quality,
+                transactions: records.len(),
+                features,
+                quality,
                 predicted,
                 category: QoeCategory::from_index(predicted),
                 probabilities,

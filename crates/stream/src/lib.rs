@@ -9,10 +9,12 @@
 //! [`StreamEngine`] accepts records one at a time — out of order within a
 //! configurable reorder window — shards them across per-client
 //! [`ClientTracker`]s, runs the paper's session-boundary heuristic
-//! incrementally, maintains the 38 TLS features with streaming
-//! accumulators ([`dtp_features::TlsSessionAccumulator`]), and emits a
-//! scored [`SessionVerdict`] for every session the moment it closes
-//! (boundary, idle timeout, or final flush).
+//! incrementally, buffers each open session's records
+//! ([`dtp_features::TlsSessionAccumulator`]), and emits a scored
+//! [`SessionVerdict`] for every session the moment it closes (boundary,
+//! idle timeout, or final flush). Closed sessions are scored in
+//! micro-batches: the batch extractor runs on each session's records, in
+//! start order, then the model scores the rows.
 //!
 //! The headline guarantee, enforced by the workspace's differential test
 //! suite (`tests/stream_vs_batch.rs`): for any in-order replay, the

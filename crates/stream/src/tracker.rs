@@ -1,5 +1,5 @@
 //! Per-client session tracking: reorder buffer → incremental boundary
-//! detection → streaming feature accumulation.
+//! detection → open-session record buffer.
 //!
 //! A [`ClientTracker`] owns everything one client's record stream needs:
 //!
@@ -9,19 +9,20 @@
 //!    detector only ever sees a nondecreasing stream),
 //! 2. the [`IncrementalSessionDetector`] running the paper's W/N/δ
 //!    boundary heuristic with a bounded look-ahead buffer,
-//! 3. the open session's [`TlsSessionAccumulator`], maintaining the
-//!    38-feature vector incrementally.
+//! 3. the open session's [`TlsSessionAccumulator`], buffering its records
+//!    in start order.
 //!
 //! Closing a session (boundary detected, idle expiry, or final flush)
-//! yields a [`ClosedSession`] carrying the finalized feature vector; the
-//! engine micro-batches those through the deployed model.
+//! yields a [`ClosedSession`] carrying those records; the engine extracts
+//! the 38 features with the batch extractor and scores them in
+//! micro-batches.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dtp_core::sessionid::IncrementalSessionDetector;
 use dtp_core::SessionIdParams;
-use dtp_features::{FeatureQuality, TlsSessionAccumulator};
+use dtp_features::TlsSessionAccumulator;
 use dtp_telemetry::TlsTransactionRecord;
 
 /// Why a session was closed and emitted.
@@ -59,12 +60,9 @@ pub struct ClosedSession {
     pub start_s: f64,
     /// Latest transaction end seen, seconds.
     pub end_s: f64,
-    /// Transactions in the session.
-    pub transactions: usize,
-    /// The 38-feature vector (bitwise-equal to the batch extractor).
-    pub features: Vec<f64>,
-    /// Extraction quality report.
-    pub quality: FeatureQuality,
+    /// The session's transactions, in start order (ties in arrival
+    /// order), as the batch splitter groups them.
+    pub records: Vec<TlsTransactionRecord>,
     /// Why the session closed.
     pub reason: CloseReason,
 }
@@ -180,8 +178,7 @@ impl ClientTracker {
         decided.clear();
         self.decided = decided;
         if let Some(acc) = self.open.take() {
-            closed.push(self.finalize(&acc, reason));
-            self.ordinal += 1;
+            closed.push(self.finalize(acc, reason));
         }
     }
 
@@ -189,8 +186,7 @@ impl ClientTracker {
     fn apply(&mut self, rec: &TlsTransactionRecord, is_new: bool, closed: &mut Vec<ClosedSession>) {
         if is_new {
             if let Some(acc) = self.open.take() {
-                closed.push(self.finalize(&acc, CloseReason::Boundary));
-                self.ordinal += 1;
+                closed.push(self.finalize(acc, CloseReason::Boundary));
             }
         }
         self.open
@@ -198,17 +194,16 @@ impl ClientTracker {
             .push(rec);
     }
 
-    /// Turn the open accumulator into a [`ClosedSession`].
-    fn finalize(&self, acc: &TlsSessionAccumulator, reason: CloseReason) -> ClosedSession {
-        let (features, quality) = acc.features();
+    /// Turn the open session into the next [`ClosedSession`].
+    fn finalize(&mut self, acc: TlsSessionAccumulator, reason: CloseReason) -> ClosedSession {
+        let ordinal = self.ordinal;
+        self.ordinal += 1;
         ClosedSession {
             client: Arc::clone(&self.client),
-            ordinal: self.ordinal,
+            ordinal,
             start_s: acc.start_s().unwrap_or(0.0),
             end_s: acc.end_s().unwrap_or(0.0),
-            transactions: acc.len(),
-            features,
-            quality,
+            records: acc.into_records(),
             reason,
         }
     }
@@ -260,10 +255,10 @@ mod tests {
         t.flush(CloseReason::Flush, &mut closed);
         assert_eq!(closed.len(), 2, "{closed:?}");
         assert_eq!(closed[0].reason, CloseReason::Boundary);
-        assert_eq!(closed[0].transactions, 3);
+        assert_eq!(closed[0].records.len(), 3);
         assert_eq!(closed[0].ordinal, 0);
         assert_eq!(closed[1].reason, CloseReason::Flush);
-        assert_eq!(closed[1].transactions, 3);
+        assert_eq!(closed[1].records.len(), 3);
         assert_eq!(closed[1].ordinal, 1);
         assert!(t.is_idle_empty());
     }
@@ -283,24 +278,20 @@ mod tests {
         t.drain(f64::INFINITY, &mut closed);
         t.flush(CloseReason::Flush, &mut closed);
         assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].transactions, 3);
+        assert_eq!(closed[0].records.len(), 3);
     }
 
     #[test]
-    fn features_match_batch_extraction() {
+    fn closed_session_carries_records_in_start_order() {
         let mut t = tracker();
         let mut closed = Vec::new();
         let recs = vec![tx(0.0, "a"), tx(1.0, "b"), tx(30.0, "a")];
-        for r in &recs {
-            t.offer(r.clone());
+        for i in [1, 0, 2] {
+            t.offer(recs[i].clone());
         }
         t.flush(CloseReason::Flush, &mut closed);
         assert_eq!(closed.len(), 1);
-        let (batch, q) = dtp_features::extract_tls_features_checked(&recs);
-        let got: Vec<u64> = closed[0].features.iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u64> = batch.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want);
-        assert_eq!(closed[0].quality, q);
+        assert_eq!(closed[0].records, recs);
         assert_eq!(closed[0].start_s, 0.0);
         assert_eq!(closed[0].end_s, 50.0);
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Offline CI gate: release build, full test suite (serial and 2-thread),
-# doc tests, lint-clean, and smoke runs of the pipeline cost profiler, the
+# doc tests, lint-clean, the benchmark's unit tests, and smoke runs of the pipeline cost profiler, the
 # parallel execution benchmark, and the streaming soak (their JSON
 # artifacts must carry the documented schema keys).
 set -euo pipefail
@@ -16,6 +16,10 @@ DTP_THREADS=2 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p dtp-obs --all-targets -- -D warnings
 cargo clippy -p dtp-par --all-targets -- -D warnings
+# perfbench is a Cargo workspace of its own, so nothing above builds it:
+# its tests fail here when a library change breaks an API the benchmark
+# uses.
+cargo test --manifest-path perfbench/Cargo.toml --offline -q
 
 profile=target/pipeline_profile.json
 rm -f "$profile"

@@ -26,8 +26,9 @@
 //! * [`core`] — QoE labels, the session-identification heuristic, and the
 //!   end-to-end dataset/estimation pipeline,
 //! * [`stream`] — push-based streaming inference: per-client session
-//!   tracking, incremental feature accumulators, and micro-batched scoring,
-//!   bitwise-equal to the batch pipeline (see `dtp_stream` docs).
+//!   tracking and micro-batched extraction and scoring through the batch
+//!   feature extractor, bitwise-equal to the batch pipeline (see
+//!   `dtp_stream` docs).
 //!
 //! ## Quickstart
 //!
